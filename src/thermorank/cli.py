@@ -30,7 +30,7 @@ from .errors import (
     ZeroReferenceMean,
 )
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .fuzzy import FuzzyIndicatorReport, run_fuzzy
+from .fuzzy import run_fuzzy
 from .io_model import PanelDocument, parse_document, to_panel
 from .tfn import RATING_SCALE, TriangularFuzzyNumber, WEIGHT_SCALE
 from .topsis import run_topsis
@@ -317,7 +317,6 @@ def cmd_indicators(fixture_name, input_path, input_format, criteria_path, normal
     """Dump the full per-decision-maker indicator tables."""
     doc = _load_document(fixture_name, input_path, input_format, criteria_path, normalized)
     panel, report = _run_report(doc, _engine_config(quality_ref, aggregation))
-    fuzzy = isinstance(report, FuzzyIndicatorReport)
     p_scalar = _scalar_precision(precision)
     p_triplet = _triplet_precision(precision)
 
@@ -331,27 +330,14 @@ def cmd_indicators(fixture_name, input_path, input_format, criteria_path, normal
             return [round(v, p_triplet) for v in value]
         return round(float(value), p_scalar)
 
+    # crisp arrays give floats and fuzzy views give triplets for the same index
+    stages = (report.normalized, report.energy_cells, report.quality_cells,
+              report.exergy_cells, report.entropy_cells)
     cells = []
     for k, dm in enumerate(panel.decision_makers):
         for i, alternative in enumerate(report.alternatives):
             for j, criterion in enumerate(panel.criterion_ids):
-                if fuzzy:
-                    values = (
-                        report.normalized[k][i][j],
-                        report.energy_cells[k][i][j],
-                        report.quality_cells[k][i][j],
-                        report.exergy_cells[k][i][j],
-                        report.entropy_cells[k][i][j],
-                    )
-                else:
-                    values = (
-                        report.normalized[k, i, j],
-                        report.energy_cells[k, i, j],
-                        report.quality_cells[k, i, j],
-                        report.exergy_cells[k, i, j],
-                        report.entropy_cells[k, i, j],
-                    )
-                cells.append((dm, alternative, criterion) + values)
+                cells.append((dm, alternative, criterion) + tuple(stage[k, i, j] for stage in stages))
 
     if output == "json":
         payload = {

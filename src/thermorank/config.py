@@ -23,7 +23,6 @@ __all__ = [
     "CriterionSpec",
     "QualityReference",
     "CriterionAggregation",
-    "TieBreak",
     "ZeroMeanPolicy",
     "EngineConfig",
     "WEIGHT_SUM_TOLERANCE",
@@ -54,10 +53,6 @@ class CriterionAggregation(str, Enum):
 
     WEIGHTED_SUM = "weighted_sum"
     MEAN_OF_WEIGHTED = "mean_of_weighted"
-
-
-class TieBreak(str, Enum):
-    BY_INPUT_ORDER = "by_input_order"
 
 
 class ZeroMeanPolicy(str, Enum):
@@ -99,13 +94,11 @@ class EngineConfig:
 
     quality_reference: QualityReference = QualityReference.ACROSS_EXPERTS
     criterion_aggregation: CriterionAggregation | None = None
-    tie_break: TieBreak = TieBreak.BY_INPUT_ORDER
     zero_mean_policy: ZeroMeanPolicy = ZeroMeanPolicy.ERROR
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "quality_reference", _coerce(self.quality_reference, QualityReference))
         object.__setattr__(self, "criterion_aggregation", _coerce(self.criterion_aggregation, CriterionAggregation))
-        object.__setattr__(self, "tie_break", _coerce(self.tie_break, TieBreak))
         object.__setattr__(self, "zero_mean_policy", _coerce(self.zero_mean_policy, ZeroMeanPolicy))
 
 

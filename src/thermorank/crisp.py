@@ -8,31 +8,23 @@ on ``n`` criteria into three per-alternative indicators:
   is one minus the relative distance from a reference mean rating;
 * entropy ``S = U - X`` — the part of the energy lost to disagreement.
 
-Alternatives are ranked by descending indicator value.  Everything here is a
+Alternatives are ranked by descending indicator value.  The stages run in
+:mod:`thermorank.kernel`, which treats crisp ratings as cells with a single
+component (shape ``(K, m, n, 1)``); the functions here take and return plain
+``(K, m, n)`` arrays.  Crisp quality in ``across_experts`` mode is measured on
+the raw ratings, and per-DM aggregates are used as they are.  Everything is a
 pure function of an immutable :class:`CrispPanel`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
-from numpy.typing import NDArray
 
-from .config import (
-    CriterionAggregation,
-    CriterionKind,
-    CriterionSpec,
-    EngineConfig,
-    QualityReference,
-    TieBreak,
-    WEIGHT_SUM_TOLERANCE,
-    ZeroMeanPolicy,
-    resolve_aggregation,
-)
-from .errors import AllZeroColumn, ValidationError, WeightSumWarning, ZeroReferenceMean
+from . import kernel
+from .config import CriterionAggregation, CriterionSpec, EngineConfig, QualityReference
+from .kernel import AggregateResult, FloatArray
 
 __all__ = [
     "CrispPanel",
@@ -49,24 +41,19 @@ __all__ = [
     "run_crisp",
 ]
 
-FloatArray = NDArray[np.float64]
-
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
 
 
-def _unique(kind: str, ids) -> None:
-    seen = set()
-    for identifier in ids:
-        if identifier in seen:
-            raise ValidationError(f"duplicate {kind} id {identifier!r}")
-        seen.add(identifier)
+def _cells(values) -> FloatArray:
+    """``(K, m, n)`` or ``(K, n)`` values with the kernel's component axis appended."""
+    return np.asarray(values, dtype=np.float64)[..., None]
 
 
 @dataclass(frozen=True, eq=False)
-class CrispPanel:
+class CrispPanel(kernel.PanelBase):
     """Immutable rating panel: ``ratings[k, i, j]`` is DM ``k``'s score of
     alternative ``i`` on criterion ``j``; ``weights[k, j]`` the matching weight.
 
@@ -83,96 +70,18 @@ class CrispPanel:
     prenormalized: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alternatives", tuple(str(a) for a in self.alternatives))
-        object.__setattr__(
-            self,
-            "criteria",
-            tuple(c if isinstance(c, CriterionSpec) else CriterionSpec(*c) for c in self.criteria),
-        )
-        object.__setattr__(self, "decision_makers", tuple(str(d) for d in self.decision_makers))
+        self._coerce_ids()
         object.__setattr__(self, "ratings", _frozen(np.asarray(self.ratings, dtype=np.float64)))
         object.__setattr__(self, "weights", _frozen(np.asarray(self.weights, dtype=np.float64)))
-        self._validate()
-
-    # -- shape helpers -------------------------------------------------
+        self._validate(self.ratings, self.weights, ())
 
     @property
-    def m(self) -> int:
-        return len(self.alternatives)
+    def cells(self) -> FloatArray:
+        return self.ratings[..., None]
 
     @property
-    def n(self) -> int:
-        return len(self.criteria)
-
-    @property
-    def K(self) -> int:
-        return len(self.decision_makers)
-
-    @property
-    def criterion_ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.criteria)
-
-    def cost_mask(self) -> NDArray[np.bool_]:
-        return np.array([c.is_cost for c in self.criteria], dtype=bool)
-
-    def _cell(self, k: int, i: int, j: int) -> str:
-        return (
-            f"dm {self.decision_makers[k]!r}, alternative {self.alternatives[i]!r},"
-            f" criterion {self.criteria[j].id!r}"
-        )
-
-    # -- validation ----------------------------------------------------
-
-    def _validate(self) -> None:
-        if self.m < 2:
-            raise ValidationError(f"m >= 2 required (got {self.m} alternative(s))")
-        if self.n < 1:
-            raise ValidationError("at least one criterion required")
-        if self.K < 1:
-            raise ValidationError("at least one decision maker required")
-        _unique("alternative", self.alternatives)
-        _unique("criterion", self.criterion_ids)
-        _unique("decision maker", self.decision_makers)
-
-        expected = (self.K, self.m, self.n)
-        if self.ratings.shape != expected:
-            raise ValidationError(
-                f"ratings shape {self.ratings.shape} does not match (K, m, n) = {expected}"
-            )
-        if self.weights.shape != (self.K, self.n):
-            raise ValidationError(
-                f"weights shape {self.weights.shape} does not match (K, n) = {(self.K, self.n)}"
-            )
-
-        bad = ~np.isfinite(self.ratings)
-        if bad.any():
-            k, i, j = map(int, np.argwhere(bad)[0])
-            raise ValidationError(f"non-finite rating at {self._cell(k, i, j)}")
-        bad = self.ratings < 0
-        if bad.any():
-            k, i, j = map(int, np.argwhere(bad)[0])
-            raise ValidationError(f"negative rating at {self._cell(k, i, j)}")
-        if (~np.isfinite(self.weights)).any() or (self.weights < 0).any():
-            raise ValidationError("weights must be finite and nonnegative")
-
-        cost = self.cost_mask()
-        if cost.any():
-            zero = (self.ratings == 0) & cost[None, None, :]
-            if zero.any():
-                k, i, j = map(int, np.argwhere(zero)[0])
-                raise ValidationError(
-                    f"cost criterion needs positive ratings; got 0 at {self._cell(k, i, j)}"
-                )
-
-
-class AggregateResult(NamedTuple):
-    """Per-alternative indicators plus the per-DM aggregates they average."""
-
-    U: FloatArray
-    X: FloatArray
-    per_dm_U: FloatArray
-    per_dm_X: FloatArray
-    aggregation: CriterionAggregation
+    def weight_cells(self) -> FloatArray:
+        return self.weights[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,33 +122,12 @@ def normalize(panel: CrispPanel) -> FloatArray:
     divide by and raises :class:`AllZeroColumn`.  Panels flagged as already
     normalized pass through unchanged.
     """
-    if panel.prenormalized:
-        return panel.ratings.copy()
-
-    out = np.empty_like(panel.ratings)
-    cost = panel.cost_mask()
-    for j in range(panel.n):
-        column = panel.ratings[:, :, j]  # (K, m)
-        if cost[j]:
-            # panel validation guarantees strictly positive entries here
-            out[:, :, j] = column.min(axis=1, keepdims=True) / column
-        else:
-            peak = column.max(axis=1, keepdims=True)
-            if (peak == 0).any():
-                k = int(np.argwhere(peak == 0)[0][0])
-                raise AllZeroColumn(
-                    f"benefit criterion {panel.criteria[j].id!r} is all zero for"
-                    f" dm {panel.decision_makers[k]!r}"
-                )
-            out[:, :, j] = column / peak
-    return out
+    return kernel.normalize(panel)[..., 0]
 
 
 def energy_matrix(normalized: FloatArray, weights: FloatArray) -> FloatArray:
     """Entrywise ``w * r`` with weights broadcast over alternatives."""
-    normalized = np.asarray(normalized, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    return normalized * weights[:, None, :]
+    return kernel.energy(_cells(normalized), _cells(weights))[..., 0]
 
 
 def quality_matrix(values: FloatArray, config: EngineConfig) -> FloatArray:
@@ -251,29 +139,7 @@ def quality_matrix(values: FloatArray, config: EngineConfig) -> FloatArray:
     values can go negative when a value is more than one mean away.  A zero
     reference mean follows ``config.zero_mean_policy``.
     """
-    values = np.asarray(values, dtype=np.float64)
-    axis = 0 if config.quality_reference is QualityReference.ACROSS_EXPERTS else 1
-    reference = values.mean(axis=axis, keepdims=True)
-
-    zero_reference = reference == 0
-    if zero_reference.any():
-        described = "experts" if axis == 0 else "alternatives"
-        if config.zero_mean_policy is ZeroMeanPolicy.ERROR:
-            where = tuple(int(v) for v in np.argwhere(zero_reference)[0])
-            raise ZeroReferenceMean(
-                f"mean over {described} is zero at index {where}; cannot take relative distance"
-            )
-        # quality_one_if_exact: a zero mean with a zero value counts as consensus
-        mismatched = zero_reference & (values != 0)
-        if mismatched.any():
-            where = tuple(int(v) for v in np.argwhere(mismatched)[0])
-            raise ZeroReferenceMean(
-                f"mean over {described} is zero at index {where} but the value is not"
-            )
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quality = 1.0 - np.abs(values - reference) / reference
-    return np.where(np.broadcast_to(zero_reference, quality.shape), 1.0, quality)
+    return kernel.quality(_cells(values), config)[..., 0]
 
 
 def exergy_matrix(quality: FloatArray, energy: FloatArray) -> FloatArray:
@@ -283,12 +149,6 @@ def exergy_matrix(quality: FloatArray, energy: FloatArray) -> FloatArray:
 def work(weight: float, r1: float, r2: float) -> float:
     """Work done moving a rating between two states: ``w * |r1 - r2|``."""
     return weight * abs(r1 - r2)
-
-
-def _collapse(cells: FloatArray, mode: CriterionAggregation) -> FloatArray:
-    if mode is CriterionAggregation.WEIGHTED_SUM:
-        return cells.sum(axis=2)
-    return cells.mean(axis=2)
 
 
 def aggregate(
@@ -304,33 +164,8 @@ def aggregate(
     weighted-sum explicitly with weight sums away from 1 is almost always a
     units mistake, so it warns.
     """
-    energy = np.asarray(energy, dtype=np.float64)
-    exergy = np.asarray(exergy, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-
-    sums = weights.sum(axis=1)
-    mode = resolve_aggregation(config, sums)
-    if (
-        config.criterion_aggregation is CriterionAggregation.WEIGHTED_SUM
-        and (np.abs(sums - 1.0) > WEIGHT_SUM_TOLERANCE).any()
-    ):
-        warnings.warn(
-            WeightSumWarning(
-                "weighted_sum aggregation with per-DM weight sums "
-                f"{np.round(sums, 6).tolist()} not equal to 1"
-            ),
-            stacklevel=2,
-        )
-
-    per_dm_U = _collapse(energy, mode)
-    per_dm_X = _collapse(exergy, mode)
-    return AggregateResult(
-        U=per_dm_U.mean(axis=0),
-        X=per_dm_X.mean(axis=0),
-        per_dm_U=per_dm_U,
-        per_dm_X=per_dm_X,
-        aggregation=mode,
-    )
+    result = kernel.aggregate(_cells(energy), _cells(exergy), _cells(weights), config)
+    return result._replace(per_dm_U=result.per_dm_U[..., 0], per_dm_X=result.per_dm_X[..., 0])
 
 
 def entropy(U: FloatArray | float, X: FloatArray | float):
@@ -338,15 +173,11 @@ def entropy(U: FloatArray | float, X: FloatArray | float):
     return U - X
 
 
-def rank(
-    values,
-    descending: bool = True,
-    tie_break: TieBreak = TieBreak.BY_INPUT_ORDER,
-) -> tuple[int, ...]:
+def rank(values, descending: bool = True) -> tuple[int, ...]:
     """1-based ranks, rank 1 for the largest value; ties keep input order."""
     values = np.asarray(values, dtype=np.float64)
     keys = -values if descending else values
-    order = np.argsort(keys, kind="stable")  # stable sort realises the tie-break
+    order = np.argsort(keys, kind="stable")  # stable sort keeps tied values in input order
     ranks = np.empty(len(values), dtype=int)
     ranks[order] = np.arange(1, len(values) + 1)
     return tuple(int(r) for r in ranks)
@@ -362,41 +193,23 @@ def run_crisp(panel: CrispPanel, config: EngineConfig | None = None) -> Indicato
     terms of the normalized column.
     """
     config = config or EngineConfig()
-
-    normalized = normalize(panel)
-    energy_cells = energy_matrix(normalized, panel.weights)
-    quality_basis = (
-        panel.ratings
-        if config.quality_reference is QualityReference.ACROSS_EXPERTS
-        else normalized
-    )
-    quality_cells = quality_matrix(quality_basis, config)
-    exergy_cells = exergy_matrix(quality_cells, energy_cells)
-    entropy_cells = energy_cells - exergy_cells
-
-    result = aggregate(energy_cells, exergy_cells, panel.weights, config)
-    S = entropy(result.U, result.X)
-
-    flagged = tuple(
-        (panel.decision_makers[k], panel.alternatives[i], panel.criteria[j].id)
-        for k, i, j in np.argwhere(quality_cells < 0)
-    )
-
+    pipeline = kernel.run(panel, config)
+    result = pipeline.result
     return IndicatorReport(
         alternatives=panel.alternatives,
-        U=_frozen(result.U),
-        X=_frozen(result.X),
-        S=_frozen(S),
-        rank_by_U=rank(result.U, tie_break=config.tie_break),
-        rank_by_X=rank(result.X, tie_break=config.tie_break),
-        normalized=_frozen(normalized),
-        energy_cells=_frozen(energy_cells),
-        quality_cells=_frozen(quality_cells),
-        exergy_cells=_frozen(exergy_cells),
-        entropy_cells=_frozen(entropy_cells),
-        per_dm_energy=_frozen(result.per_dm_U),
-        per_dm_exergy=_frozen(result.per_dm_X),
+        U=result.U,
+        X=result.X,
+        S=_frozen(entropy(result.U, result.X)),
+        rank_by_U=rank(result.U),
+        rank_by_X=rank(result.X),
+        normalized=pipeline.normalized[..., 0],
+        energy_cells=pipeline.energy_cells[..., 0],
+        quality_cells=pipeline.quality_cells[..., 0],
+        exergy_cells=pipeline.exergy_cells[..., 0],
+        entropy_cells=pipeline.entropy_cells[..., 0],
+        per_dm_energy=result.per_dm_U[..., 0],
+        per_dm_exergy=result.per_dm_X[..., 0],
         aggregation=result.aggregation,
         quality_reference=config.quality_reference,
-        negative_quality_cells=flagged,
+        negative_quality_cells=pipeline.negative_quality_cells,
     )

@@ -1,37 +1,36 @@
 """Fuzzy indicator pipeline over triangular-fuzzy ratings and weights.
 
-Mirrors the crisp pipeline cell for cell, except that every value is an
-``(a, b, c)`` triplet manipulated componentwise, and the per-decision-maker
-aggregates are collapsed to scalars with the root-mean-square score
-:func:`thermorank.tfn.defuzzify` before averaging over the panel.  Collapsing
-any earlier would change results: componentwise products do not commute with
-the score.
+The stages run in :mod:`thermorank.kernel` on ``(K, m, n, 3)`` arrays, one
+trailing slot per ``(a, b, c)`` component, exactly as the crisp pipeline runs
+on ``(K, m, n, 1)``.  Two things differ from crisp, both because the cells are
+triplets: quality is always measured on the normalized triplets, and each
+per-decision-maker aggregate is collapsed to a scalar with the root-mean-square
+score :func:`thermorank.tfn.defuzzify` before averaging over the panel.
+Collapsing any earlier would change results: componentwise products do not
+commute with the score.
+
+Panels and reports hand their triplet arrays out as :class:`TripletView`
+objects, indexable as ``view[k][i][j]`` down to a
+:class:`~thermorank.tfn.TriangularFuzzyNumber`.  The stage functions accept
+views, arrays, or nested sequences of triplets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import (
-    CriterionAggregation,
-    CriterionSpec,
-    EngineConfig,
-    QualityReference,
-    WEIGHT_SUM_TOLERANCE,
-    ZeroMeanPolicy,
-    resolve_aggregation,
-)
-from .crisp import FloatArray, rank
-from .errors import AllZeroColumn, DivisionByZero, ValidationError, WeightSumWarning, ZeroReferenceMean
-import warnings
-
+from . import kernel
+from .config import CriterionAggregation, CriterionSpec, EngineConfig, QualityReference
+from .crisp import rank
+from .errors import ValidationError
+from .kernel import FloatArray
 from .tfn import TriangularFuzzyNumber as TFN
-from .tfn import cw_mul, cw_sub, defuzzify, scale
 
 __all__ = [
+    "TripletView",
     "FuzzyPanel",
     "FuzzyIndicatorReport",
     "FuzzyAggregateResult",
@@ -44,61 +43,85 @@ __all__ = [
     "run_fuzzy",
 ]
 
-# ratings nests are indexed [k][i][j]; weights nests [k][j]
-Cells = Sequence[Sequence[Sequence[TFN]]]
-WeightRow = Sequence[Sequence[TFN]]
+
+class TripletView:
+    """Read-only nested-sequence view of a float array whose last axis is ``(a, b, c)``.
+
+    ``view[k][i][j]`` (or ``view[k, i, j]``) is a :class:`TFN`; a shorter
+    index gives another view.  Views iterate, have a ``len``, compare equal to
+    anything holding the same triplets, and ``np.asarray(view)`` is the
+    underlying array.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: FloatArray) -> None:
+        self.array = array
+
+    def __getitem__(self, index):
+        item = self.array[index]
+        return TFN(*item) if item.ndim == 1 else TripletView(item)
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __iter__(self):
+        return (self[index] for index in range(len(self.array)))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.array, dtype=dtype, copy=copy)
+
+    def __eq__(self, other) -> bool:
+        try:
+            return np.array_equal(self.array, triplets(other))
+        except (TypeError, ValueError):
+            return False
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"TripletView(shape={self.array.shape})"
 
 
-def _as_tfn(value) -> TFN:
-    return value if isinstance(value, TFN) else TFN(*value)
-
-
-def _tuplify_weights(rows) -> tuple[tuple[TFN, ...], ...]:
-    return tuple(tuple(_as_tfn(w) for w in row) for row in rows)
-
-
-def _tuplify_cells(cells) -> tuple[tuple[tuple[TFN, ...], ...], ...]:
-    return tuple(tuple(tuple(_as_tfn(x) for x in row) for row in dm) for dm in cells)
-
-
-def _cw_mean(values: Sequence[TFN]) -> TFN:
-    total_a = total_b = total_c = 0.0
-    for value in values:
-        total_a += value.a
-        total_b += value.b
-        total_c += value.c
-    count = len(values)
-    return TFN(total_a / count, total_b / count, total_c / count)
+def triplets(values) -> FloatArray:
+    """Float array of a view, an array, or nested sequences of triplets or TFNs."""
+    if isinstance(values, TripletView):
+        return values.array
+    return np.asarray(values, dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
-class FuzzyPanel:
+class FuzzyPanel(kernel.PanelBase):
     """Panel of triangular-fuzzy ratings; same layout as :class:`CrispPanel`.
 
-    ``rating_labels`` / ``weight_labels`` optionally retain the linguistic
-    labels the triplets came from, for audit output.  ``prenormalized=True``
-    marks ratings that are already scale-free triplets in [0, 1].
+    ``ratings`` and ``weights`` accept nested triplets, TFNs, views or arrays,
+    and are stored as read-only ``(K, m, n, 3)`` and ``(K, n, 3)`` arrays
+    behind :class:`TripletView` objects.  ``rating_labels`` /
+    ``weight_labels`` optionally retain the linguistic labels the triplets
+    came from, for audit output.  ``prenormalized=True`` marks ratings that
+    are already scale-free triplets in [0, 1].
     """
 
     alternatives: tuple[str, ...]
     criteria: tuple[CriterionSpec, ...]
     decision_makers: tuple[str, ...]
-    ratings: tuple[tuple[tuple[TFN, ...], ...], ...]
-    weights: tuple[tuple[TFN, ...], ...]
+    ratings: TripletView
+    weights: TripletView
     rating_labels: tuple | None = None
     weight_labels: tuple | None = None
     prenormalized: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alternatives", tuple(str(a) for a in self.alternatives))
-        object.__setattr__(
-            self,
-            "criteria",
-            tuple(c if isinstance(c, CriterionSpec) else CriterionSpec(*c) for c in self.criteria),
-        )
-        object.__setattr__(self, "decision_makers", tuple(str(d) for d in self.decision_makers))
-        object.__setattr__(self, "ratings", _tuplify_cells(self.ratings))
-        object.__setattr__(self, "weights", _tuplify_weights(self.weights))
+        self._coerce_ids()
+        arrays = []
+        for name in ("ratings", "weights"):
+            try:
+                array = np.array(triplets(getattr(self, name)), dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValidationError(f"ragged or non-numeric {name}: expected (a, b, c) triplets") from None
+            array.setflags(write=False)
+            arrays.append(array)
+            object.__setattr__(self, name, TripletView(array))
         if self.rating_labels is not None:
             object.__setattr__(
                 self,
@@ -107,94 +130,34 @@ class FuzzyPanel:
             )
         if self.weight_labels is not None:
             object.__setattr__(self, "weight_labels", tuple(tuple(row) for row in self.weight_labels))
-        self._validate()
+        self._validate(*arrays, (3,))
 
     @property
-    def m(self) -> int:
-        return len(self.alternatives)
+    def cells(self) -> FloatArray:
+        return self.ratings.array
 
     @property
-    def n(self) -> int:
-        return len(self.criteria)
-
-    @property
-    def K(self) -> int:
-        return len(self.decision_makers)
-
-    @property
-    def criterion_ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.criteria)
-
-    def _cell(self, k: int, i: int, j: int) -> str:
-        return (
-            f"dm {self.decision_makers[k]!r}, alternative {self.alternatives[i]!r},"
-            f" criterion {self.criteria[j].id!r}"
-        )
-
-    def _validate(self) -> None:
-        if self.m < 2:
-            raise ValidationError(f"m >= 2 required (got {self.m} alternative(s))")
-        if self.n < 1:
-            raise ValidationError("at least one criterion required")
-        if self.K < 1:
-            raise ValidationError("at least one decision maker required")
-        seen: set[str] = set()
-        for kind, ids in (
-            ("alternative", self.alternatives),
-            ("criterion", self.criterion_ids),
-            ("decision maker", self.decision_makers),
-        ):
-            seen.clear()
-            for identifier in ids:
-                if identifier in seen:
-                    raise ValidationError(f"duplicate {kind} id {identifier!r}")
-                seen.add(identifier)
-
-        if len(self.ratings) != self.K or any(len(dm) != self.m for dm in self.ratings) or any(
-            len(row) != self.n for dm in self.ratings for row in dm
-        ):
-            raise ValidationError("ragged ratings: expected K x m x n triplets")
-        if len(self.weights) != self.K or any(len(row) != self.n for row in self.weights):
-            raise ValidationError("ragged weights: expected K x n triplets")
-
-        for k, dm in enumerate(self.ratings):
-            for i, row in enumerate(dm):
-                for j, value in enumerate(row):
-                    if not value.is_ordered:
-                        raise ValidationError(f"unordered rating {value!r} at {self._cell(k, i, j)}")
-                    if value.a < 0:
-                        raise ValidationError(f"negative rating component at {self._cell(k, i, j)}")
-                    if self.criteria[j].is_cost and value.a <= 0:
-                        raise ValidationError(
-                            f"cost criterion needs strictly positive triplets; {self._cell(k, i, j)}"
-                        )
-        for k, row in enumerate(self.weights):
-            for j, value in enumerate(row):
-                if not value.is_ordered:
-                    raise ValidationError(
-                        f"unordered weight {value!r} at dm {self.decision_makers[k]!r},"
-                        f" criterion {self.criteria[j].id!r}"
-                    )
-                if value.a < 0:
-                    raise ValidationError(
-                        f"negative weight component at dm {self.decision_makers[k]!r},"
-                        f" criterion {self.criteria[j].id!r}"
-                    )
+    def weight_cells(self) -> FloatArray:
+        return self.weights.array
 
 
 class FuzzyAggregateResult(NamedTuple):
     U: FloatArray
     X: FloatArray
-    per_dm_energy: tuple  # [k][i] -> TFN
-    per_dm_exergy: tuple
-    mean_energy: tuple  # [i] -> TFN, componentwise mean over decision makers
-    mean_exergy: tuple
+    per_dm_energy: TripletView  # [k][i] -> TFN
+    per_dm_exergy: TripletView
+    mean_energy: TripletView  # [i] -> TFN, componentwise mean over decision makers
+    mean_exergy: TripletView
     aggregation: CriterionAggregation
 
 
 @dataclass(frozen=True, eq=False)
 class FuzzyIndicatorReport:
-    """Fuzzy pipeline output: defuzzified indicators plus every fuzzy stage."""
+    """Fuzzy pipeline output: defuzzified indicators plus every fuzzy stage.
+
+    Cell fields are ``[k][i][j]`` views, ``per_dm_*`` are ``[k][i]`` views and
+    ``mean_*`` are ``[i]`` views; every leaf is a :class:`TFN`.
+    """
 
     alternatives: tuple[str, ...]
     U: FloatArray
@@ -202,145 +165,68 @@ class FuzzyIndicatorReport:
     S: FloatArray
     rank_by_U: tuple[int, ...]
     rank_by_X: tuple[int, ...]
-    normalized: tuple
-    energy_cells: tuple
-    quality_cells: tuple
-    exergy_cells: tuple
-    entropy_cells: tuple
-    per_dm_energy: tuple
-    per_dm_exergy: tuple
-    mean_energy: tuple
-    mean_quality: tuple
-    mean_exergy: tuple
-    mean_entropy: tuple
+    normalized: TripletView
+    energy_cells: TripletView
+    quality_cells: TripletView
+    exergy_cells: TripletView
+    entropy_cells: TripletView
+    per_dm_energy: TripletView
+    per_dm_exergy: TripletView
+    mean_energy: TripletView
+    mean_quality: TripletView
+    mean_exergy: TripletView
+    mean_entropy: TripletView
     aggregation: CriterionAggregation
     quality_reference: QualityReference
     negative_quality_cells: tuple[tuple[str, str, str], ...] = field(default=())
 
 
-def normalize_fuzzy(panel: FuzzyPanel) -> list[list[list[TFN]]]:
+def normalize_fuzzy(panel: FuzzyPanel) -> TripletView:
     """Scale each decision maker's columns into [0, 1], preserving ordering.
 
     Benefit columns divide all three components by the largest right support;
     cost columns map ``(a, b, c)`` to ``(a_min/c, a_min/b, a_min/a)`` so that a
     smaller raw triplet lands nearer 1.  Both rules keep ``a <= b <= c``.
     """
-    if panel.prenormalized:
-        return [[list(row) for row in dm] for dm in panel.ratings]
-
-    out: list[list[list[TFN]]] = [[[None] * panel.n for _ in range(panel.m)] for _ in range(panel.K)]
-    for k in range(panel.K):
-        for j in range(panel.n):
-            column = [panel.ratings[k][i][j] for i in range(panel.m)]
-            if panel.criteria[j].is_cost:
-                floor = min(x.a for x in column)
-                for i, x in enumerate(column):
-                    if 0.0 in (x.a, x.b, x.c):
-                        raise DivisionByZero(
-                            f"cost normalization needs nonzero components at {panel._cell(k, i, j)}"
-                        )
-                    out[k][i][j] = TFN(floor / x.c, floor / x.b, floor / x.a)
-            else:
-                peak = max(x.c for x in column)
-                if peak == 0:
-                    raise AllZeroColumn(
-                        f"benefit criterion {panel.criteria[j].id!r} is all zero for"
-                        f" dm {panel.decision_makers[k]!r}"
-                    )
-                for i, x in enumerate(column):
-                    out[k][i][j] = scale(x, 1.0 / peak)
-    return out
+    return TripletView(kernel.normalize(panel))
 
 
-def fuzzy_energy(normalized: Cells, weights: WeightRow) -> list[list[list[TFN]]]:
+def fuzzy_energy(normalized, weights) -> TripletView:
     """Componentwise ``w * r`` for every cell."""
-    return [
-        [[cw_mul(weights[k][j], row[j]) for j in range(len(row))] for row in dm]
-        for k, dm in enumerate(normalized)
-    ]
+    return TripletView(kernel.energy(triplets(normalized), triplets(weights)))
 
 
-def _component_quality(value: float, reference: float, policy: ZeroMeanPolicy, where: str) -> float:
-    if reference == 0.0:
-        if policy is ZeroMeanPolicy.QUALITY_ONE_IF_EXACT and value == 0.0:
-            return 1.0
-        raise ZeroReferenceMean(f"reference mean component is zero at {where}")
-    return 1.0 - abs(value - reference) / reference
-
-
-def _quality_of(value: TFN, reference: TFN, policy: ZeroMeanPolicy, where: str) -> TFN:
-    return TFN(
-        _component_quality(value.a, reference.a, policy, where),
-        _component_quality(value.b, reference.b, policy, where),
-        _component_quality(value.c, reference.c, policy, where),
-    )
-
-
-def fuzzy_quality(normalized: Cells, config: EngineConfig) -> list[list[list[TFN]]]:
+def fuzzy_quality(normalized, config: EngineConfig) -> TripletView:
     """Componentwise ``1 - |r - mean| / mean`` against the configured reference.
 
     Components are at most 1 and may go negative; the result triplet can lose
     its ordering (see :attr:`~thermorank.tfn.TriangularFuzzyNumber.is_ordered`),
     which is deliberate — products downstream pair components positionally.
     """
-    K = len(normalized)
-    m = len(normalized[0])
-    n = len(normalized[0][0])
-    policy = config.zero_mean_policy
-
-    out: list[list[list[TFN]]] = [[[None] * n for _ in range(m)] for _ in range(K)]
-    if config.quality_reference is QualityReference.ACROSS_EXPERTS:
-        for i in range(m):
-            for j in range(n):
-                reference = _cw_mean([normalized[k][i][j] for k in range(K)])
-                for k in range(K):
-                    where = f"(alternative {i}, criterion {j}) over experts"
-                    out[k][i][j] = _quality_of(normalized[k][i][j], reference, policy, where)
-    else:
-        for k in range(K):
-            for j in range(n):
-                reference = _cw_mean([normalized[k][i][j] for i in range(m)])
-                for i in range(m):
-                    where = f"(dm {k}, criterion {j}) over alternatives"
-                    out[k][i][j] = _quality_of(normalized[k][i][j], reference, policy, where)
-    return out
+    return TripletView(kernel.quality(triplets(normalized), config))
 
 
-def fuzzy_exergy(quality: Cells, energy: Cells) -> list[list[list[TFN]]]:
-    return [
-        [[cw_mul(q, u) for q, u in zip(qrow, urow)] for qrow, urow in zip(qdm, udm)]
-        for qdm, udm in zip(quality, energy)
-    ]
+def fuzzy_exergy(quality, energy) -> TripletView:
+    return TripletView(triplets(quality) * triplets(energy))
 
 
-def fuzzy_entropy(energy: Cells, exergy: Cells) -> list[list[list[TFN]]]:
-    return [
-        [[cw_sub(u, x) for u, x in zip(urow, xrow)] for urow, xrow in zip(udm, xdm)]
-        for udm, xdm in zip(energy, exergy)
-    ]
+def fuzzy_entropy(energy, exergy) -> TripletView:
+    return TripletView(triplets(energy) - triplets(exergy))
 
 
-def _per_dm(cells: Cells, mode: CriterionAggregation) -> list[list[TFN]]:
-    result = []
-    for dm in cells:
-        row = []
-        for alternative in dm:
-            total = alternative[0]
-            for value in alternative[1:]:
-                total = total + value
-            if mode is CriterionAggregation.MEAN_OF_WEIGHTED:
-                total = scale(total, 1.0 / len(alternative))
-            row.append(total)
-        result.append(row)
-    return result
+def _aggregate_result(result: kernel.AggregateResult) -> FuzzyAggregateResult:
+    return FuzzyAggregateResult(
+        U=result.U,
+        X=result.X,
+        per_dm_energy=TripletView(result.per_dm_U),
+        per_dm_exergy=TripletView(result.per_dm_X),
+        mean_energy=TripletView(result.per_dm_U.mean(axis=0)),
+        mean_exergy=TripletView(result.per_dm_X.mean(axis=0)),
+        aggregation=result.aggregation,
+    )
 
 
-def aggregate_fuzzy(
-    energy: Cells,
-    exergy: Cells,
-    config: EngineConfig,
-    weights: WeightRow | None = None,
-) -> FuzzyAggregateResult:
+def aggregate_fuzzy(energy, exergy, config: EngineConfig, weights=None) -> FuzzyAggregateResult:
     """Collapse fuzzy cells to scalar per-alternative ``U`` and ``X``.
 
     Per decision maker, criteria collapse componentwise (sum or mean); each
@@ -349,50 +235,8 @@ def aggregate_fuzzy(
     left automatic: weighted-sum is chosen when every componentwise weight sum
     is 1.  Without weights the automatic rule falls back to mean-of-weighted.
     """
-    component_sums = (
-        []
-        if weights is None
-        else [
-            total
-            for row in weights
-            for total in (
-                sum(w.a for w in row),
-                sum(w.b for w in row),
-                sum(w.c for w in row),
-            )
-        ]
-    )
-    if config.criterion_aggregation is None and weights is None:
-        mode = CriterionAggregation.MEAN_OF_WEIGHTED
-    else:
-        mode = resolve_aggregation(config, component_sums)
-    if config.criterion_aggregation is CriterionAggregation.WEIGHTED_SUM and any(
-        abs(total - 1.0) > WEIGHT_SUM_TOLERANCE for total in component_sums
-    ):
-        warnings.warn(
-            WeightSumWarning("weighted_sum aggregation with fuzzy weight sums not equal to 1"),
-            stacklevel=2,
-        )
-
-    per_dm_energy = _per_dm(energy, mode)
-    per_dm_exergy = _per_dm(exergy, mode)
-    K = len(per_dm_energy)
-    m = len(per_dm_energy[0])
-
-    U = np.array([sum(defuzzify(per_dm_energy[k][i]) for k in range(K)) / K for i in range(m)])
-    X = np.array([sum(defuzzify(per_dm_exergy[k][i]) for k in range(K)) / K for i in range(m)])
-    mean_energy = tuple(_cw_mean([per_dm_energy[k][i] for k in range(K)]) for i in range(m))
-    mean_exergy = tuple(_cw_mean([per_dm_exergy[k][i] for k in range(K)]) for i in range(m))
-
-    return FuzzyAggregateResult(
-        U=U,
-        X=X,
-        per_dm_energy=tuple(tuple(row) for row in per_dm_energy),
-        per_dm_exergy=tuple(tuple(row) for row in per_dm_exergy),
-        mean_energy=mean_energy,
-        mean_exergy=mean_exergy,
-        aggregation=mode,
-    )
+    weights = None if weights is None else triplets(weights)
+    return _aggregate_result(kernel.aggregate(triplets(energy), triplets(exergy), weights, config))
 
 
 def run_fuzzy(panel: FuzzyPanel, config: EngineConfig | None = None) -> FuzzyIndicatorReport:
@@ -402,52 +246,29 @@ def run_fuzzy(panel: FuzzyPanel, config: EngineConfig | None = None) -> FuzzyInd
     (the normalized matrix is where the fuzzy ratings become comparable).
     """
     config = config or EngineConfig()
-
-    normalized = normalize_fuzzy(panel)
-    energy_cells = fuzzy_energy(normalized, panel.weights)
-    quality_cells = fuzzy_quality(normalized, config)
-    exergy_cells = fuzzy_exergy(quality_cells, energy_cells)
-    entropy_cells = fuzzy_entropy(energy_cells, exergy_cells)
-
-    result = aggregate_fuzzy(energy_cells, exergy_cells, config, weights=panel.weights)
-    S = result.U - result.X
-
-    # quality is a dimensionless score, so its audit aggregate is always a mean
-    per_dm_quality = _per_dm(quality_cells, CriterionAggregation.MEAN_OF_WEIGHTED)
-    mean_quality = tuple(
-        _cw_mean([per_dm_quality[k][i] for k in range(panel.K)]) for i in range(panel.m)
-    )
-    mean_entropy = tuple(
-        cw_sub(u, x) for u, x in zip(result.mean_energy, result.mean_exergy)
-    )
-
-    flagged = tuple(
-        (panel.decision_makers[k], panel.alternatives[i], panel.criteria[j].id)
-        for k in range(panel.K)
-        for i in range(panel.m)
-        for j in range(panel.n)
-        if min(quality_cells[k][i][j]) < 0
-    )
-
+    pipeline = kernel.run(panel, config)
+    result = _aggregate_result(pipeline.result)
+    mean_energy, mean_exergy = result.mean_energy.array, result.mean_exergy.array
     return FuzzyIndicatorReport(
         alternatives=panel.alternatives,
         U=result.U,
         X=result.X,
-        S=S,
-        rank_by_U=rank(result.U, tie_break=config.tie_break),
-        rank_by_X=rank(result.X, tie_break=config.tie_break),
-        normalized=_tuplify_cells(normalized),
-        energy_cells=_tuplify_cells(energy_cells),
-        quality_cells=_tuplify_cells(quality_cells),
-        exergy_cells=_tuplify_cells(exergy_cells),
-        entropy_cells=_tuplify_cells(entropy_cells),
+        S=result.U - result.X,
+        rank_by_U=rank(result.U),
+        rank_by_X=rank(result.X),
+        normalized=TripletView(pipeline.normalized),
+        energy_cells=TripletView(pipeline.energy_cells),
+        quality_cells=TripletView(pipeline.quality_cells),
+        exergy_cells=TripletView(pipeline.exergy_cells),
+        entropy_cells=TripletView(pipeline.entropy_cells),
         per_dm_energy=result.per_dm_energy,
         per_dm_exergy=result.per_dm_exergy,
         mean_energy=result.mean_energy,
-        mean_quality=mean_quality,
+        # quality is a dimensionless score, so its audit aggregate is always a mean
+        mean_quality=TripletView(pipeline.quality_cells.mean(axis=2).mean(axis=0)),
         mean_exergy=result.mean_exergy,
-        mean_entropy=mean_entropy,
+        mean_entropy=TripletView(mean_energy - mean_exergy),
         aggregation=result.aggregation,
         quality_reference=config.quality_reference,
-        negative_quality_cells=flagged,
+        negative_quality_cells=pipeline.negative_quality_cells,
     )

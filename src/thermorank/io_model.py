@@ -242,40 +242,34 @@ def to_panel(doc: PanelDocument) -> CrispPanel | FuzzyPanel:
             prenormalized=doc.normalized,
         )
 
-    rating_scale = doc.rating_scale or RATING_SCALE
-    weight_scale = doc.weight_scale or WEIGHT_SCALE
-
-    def resolve(value, scale: LinguisticScale):
-        if isinstance(value, str):
-            return scale.resolve(value), value
-        return value, None
-
-    ratings, rating_labels = [], []
-    for dm in doc.decision_makers:
-        matrix, labels = [], []
-        for row in doc.ratings[dm]:
-            resolved = [resolve(v, rating_scale) for v in row]
-            matrix.append([r for r, _ in resolved])
-            labels.append([l for _, l in resolved])
-        ratings.append(matrix)
-        rating_labels.append(labels)
-
-    weights, weight_labels = [], []
-    for dm in doc.decision_makers:
-        resolved = [resolve(v, weight_scale) for v in doc.weights[dm]]
-        weights.append([w for w, _ in resolved])
-        weight_labels.append([l for _, l in resolved])
-
+    dms = doc.decision_makers
+    ratings = [v for dm in dms for row in doc.ratings[dm] for v in row]
+    weights = [v for dm in dms for v in doc.weights[dm]]
     return FuzzyPanel(
         alternatives=doc.alternatives,
         criteria=doc.criteria,
-        decision_makers=doc.decision_makers,
-        ratings=ratings,
-        weights=weights,
-        rating_labels=rating_labels,
-        weight_labels=weight_labels,
+        decision_makers=dms,
+        ratings=_triplets(ratings, doc.rating_scale or RATING_SCALE).reshape(doc.K, doc.m, doc.n, 3),
+        weights=_triplets(weights, doc.weight_scale or WEIGHT_SCALE).reshape(doc.K, doc.n, 3),
+        rating_labels=[[[_label(v) for v in row] for row in doc.ratings[dm]] for dm in dms],
+        weight_labels=[[_label(v) for v in doc.weights[dm]] for dm in dms],
         prenormalized=doc.normalized,
     )
+
+
+def _label(value) -> str | None:
+    return value if isinstance(value, str) else None
+
+
+def _triplets(values, scale: LinguisticScale) -> np.ndarray:
+    """``(len(values), 3)`` array of document values, resolving labels against ``scale``."""
+
+    def components(value) -> tuple[float, float, float]:
+        if isinstance(value, str):
+            value = scale.resolve(value)
+        return value.a, value.b, value.c
+
+    return np.array([components(v) for v in values], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

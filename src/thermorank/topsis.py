@@ -19,7 +19,7 @@ from .config import CriterionKind
 from .crisp import CrispPanel, FloatArray, rank
 from .errors import AllZeroColumn, DegeneratePanel
 from .fuzzy import FuzzyPanel
-from .tfn import defuzzify
+from .kernel import score
 
 __all__ = [
     "Normalization",
@@ -55,22 +55,7 @@ class TopsisResult:
 def aggregate_panel(panel: CrispPanel | FuzzyPanel) -> tuple[FloatArray, FloatArray]:
     """Arithmetic-mean aggregation over decision makers: ``(m, n)`` matrix and
     ``(n,)`` weight vector.  Fuzzy triplets are defuzzified first."""
-    if isinstance(panel, CrispPanel):
-        return panel.ratings.mean(axis=0), panel.weights.mean(axis=0)
-
-    matrix = np.array(
-        [
-            [
-                sum(defuzzify(panel.ratings[k][i][j]) for k in range(panel.K)) / panel.K
-                for j in range(panel.n)
-            ]
-            for i in range(panel.m)
-        ]
-    )
-    weights = np.array(
-        [sum(defuzzify(panel.weights[k][j]) for k in range(panel.K)) / panel.K for j in range(panel.n)]
-    )
-    return matrix, weights
+    return score(panel.cells).mean(axis=0), score(panel.weight_cells).mean(axis=0)
 
 
 def weighted_normalized(

@@ -326,3 +326,46 @@ def test_color_codes_absent_when_disabled(runner):
     result = invoke(runner, "compare", "--fixture", "case1")
     assert "\x1b[" not in result.output
     assert "*" in result.output  # the marker survives without color
+
+
+# ------------------------------------------------------------------ non-finite input
+
+
+def test_rank_rejects_non_finite_csv_triplet(runner, tmp_path):
+    panel = tmp_path / "panel.csv"
+    panel.write_text(
+        "dm,alternative,criterion,value\n"
+        "D1,*,C1,M\nD2,*,C1,M\n"
+        "D1,A1,C1,G\nD1,A2,C1,F\nD2,A1,C1,G\nD2,A2,C1,1;2;inf\n"
+    )
+    criteria = tmp_path / "criteria.csv"
+    criteria.write_text("criterion,kind\nC1,benefit\n")
+    result = invoke(runner, "rank", "--input", str(panel), "--criteria", str(criteria))
+    assert result.exit_code == 2
+    assert "non-finite" in result.stderr
+    assert "n/a" not in result.output
+
+
+def test_rank_rejects_overflowing_json_triplet(runner, tmp_path):
+    panel = tmp_path / "panel.json"
+    panel.write_text(
+        json.dumps(
+            {
+                "meta": {"name": "overflow", "mode": "fuzzy"},
+                "criteria": [{"id": "C1", "kind": "benefit"}],
+                "decision_makers": ["D1", "D2"],
+                "alternatives": ["A1", "A2"],
+                "weights": {"D1": ["M"], "D2": ["M"]},
+                "ratings": {"D1": [["G"], ["F"]], "D2": [["G"], [[1, 2, 3]]]},
+            }
+        ).replace("[1, 2, 3]", "[1, 2, 1e999]")
+    )
+    result = invoke(runner, "rank", "--input", str(panel))
+    assert result.exit_code == 2
+    assert "non-finite" in result.stderr
+
+
+def test_whatif_rejects_non_finite_triplet_edit(runner):
+    result = invoke(runner, "whatif", "--fixture", "case2", "DM1:A2:C1=1;2;inf")
+    assert result.exit_code == 2
+    assert "non-finite" in result.stderr

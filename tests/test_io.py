@@ -337,3 +337,34 @@ def test_serialize_rejects_unknown_format():
     doc = load_fixture("case2")
     with pytest.raises(ValidationError):
         serialize_document(doc, format="yaml")
+
+
+# ------------------------------------------------------------- non-finite fuzzy values
+
+NON_FINITE_CSV = (
+    "dm,alternative,criterion,value\n"
+    "D1,*,C1,M\n"
+    "D2,*,C1,M\n"
+    "D1,A1,C1,G\n"
+    "D1,A2,C1,F\n"
+    "D2,A1,C1,G\n"
+    "D2,A2,C1,1;2;inf\n"
+)
+
+
+def test_parse_panel_rejects_non_finite_csv_triplet():
+    with pytest.raises(ValidationError, match="non-finite"):
+        parse_panel(NON_FINITE_CSV, format="csv", criteria=CRITERIA_SIDECAR)
+
+
+def test_parse_panel_rejects_overflowing_json_triplet():
+    # 1e999 is a number token, so json's parse_constant never sees it
+    text = json.dumps(FUZZY_DOC).replace("[3, 5, 7]", "[3, 5, 1e999]")
+    with pytest.raises(ValidationError, match="non-finite"):
+        parse_panel(text)
+
+
+def test_parse_panel_rejects_overflowing_json_weight():
+    text = json.dumps(FUZZY_DOC).replace("[0.5, 0.7, 0.9]", "[0.5, 0.7, 1e999]")
+    with pytest.raises(ValidationError, match="non-finite weight"):
+        parse_panel(text)
